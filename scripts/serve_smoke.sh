@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the astra_serve monitoring daemon.
 #
-# Generates a small fleet with examples/serve_fleet, batch-analyzes the
-# combined dataset as the oracle, then runs the daemon for real: wait for it
+# Generates a small fleet with examples/serve_fleet, re-logs one record on
+# each of several nodes as an exact duplicate (in the node's log and in the
+# combined log alike), batch-analyzes the combined dataset as the oracle,
+# then runs the daemon for real: wait for it
 # to quiesce, assert /fleet/report is byte-identical to the batch report,
 # SIGTERM it, assert a clean exit with a checkpoint manifest on disk, delete
 # the primary logs, and prove a second daemon restores the identical report
@@ -35,7 +37,27 @@ topology="--racks=2 --nodes-per-rack=6"
 
 echo "serve-smoke: generating fleet + batch oracle"
 "$serve_fleet" "$work/fleet" $topology --seed=42 > /dev/null
+# At-least-once collection on up to four nodes that logged records: the
+# served report must sum their dedup counts into the single repair line
+# analyze prints.
+duplicated=0
+for log in "$work"/fleet/node-*/memory_errors.tsv; do
+  [ "$(wc -l < "$log")" -gt 1 ] || continue  # header only: nothing to re-log
+  last=$(tail -n 1 "$log")
+  printf '%s\n' "$last" >> "$log"
+  printf '%s\n' "$last" >> "$work/fleet/combined/memory_errors.tsv"
+  duplicated=$((duplicated + 1))
+  [ "$duplicated" -eq 4 ] && break
+done
+if [ "$duplicated" -lt 2 ]; then
+  echo "serve-smoke: fewer than two nodes logged records to duplicate" >&2
+  exit 1
+fi
 "$astra_mrt" analyze "$work/fleet/combined" > "$work/batch.txt"
+if [ "$(grep -c '^  repair: dropped' "$work/batch.txt")" -ne 1 ]; then
+  echo "serve-smoke: oracle report lacks its one dedup repair line" >&2
+  exit 1
+fi
 
 echo "serve-smoke: starting daemon"
 "$astra_serve" "$work/fleet" $topology \

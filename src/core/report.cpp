@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "logs/ingest_machine.hpp"
 #include "util/strings.hpp"
 #include "util/text_table.hpp"
 
@@ -150,11 +151,11 @@ void RenderIngestReport(std::ostream& out, const logs::IngestPolicy& policy,
   } else {
     RenderIngestLine(out, "het_events", *het_report);
   }
-  for (const auto& repair : memory_report.repairs) {
+  for (const auto& repair : logs::RepairLines(memory_report)) {
     out << "  repair: " << repair << '\n';
   }
   if (het_report != nullptr) {
-    for (const auto& repair : het_report->repairs) {
+    for (const auto& repair : logs::RepairLines(*het_report)) {
       out << "  repair: " << repair << '\n';
     }
   }

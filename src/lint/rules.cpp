@@ -329,14 +329,14 @@ void CheckErrExit(const FileContext& context,
 // visible to code built without warnings-as-errors.
 constexpr std::string_view kStatusApis[] = {
     "IngestLogFile",   "ReadLogFile",           "IngestAllRecords",
-    "ReadAllRecords",  "IngestDirectory",       "ReadLines",
-    "ForEachLine",     "WriteLines",            "ReadFileBytes",
-    "WriteFileBytes",  "SaveMonitorCheckpoint", "RestoreMonitorCheckpoint",
-    "LoadState",       "CorruptFile",           "CorruptDirectory",
-    "ParallelIngestDirectory",
-    // Engine contract (core/engine.hpp): a discarded Restore is a silently
-    // half-empty engine and a discarded MergeFrom is a silently dropped
-    // shard.  LoadState above stays for the TailReader cursor.
+    "ReadAllRecords",  "ReadLines",             "ForEachLine",
+    "WriteLines",      "ReadFileBytes",         "WriteFileBytes",
+    "SaveMonitorCheckpoint", "RestoreMonitorCheckpoint",
+    "CorruptFile",     "CorruptDirectory",
+    // Engine contract (core/engine.hpp), also the TailReader and
+    // IngestMachine checkpoints: a discarded Restore is a silently
+    // half-empty engine or reader, and a discarded MergeFrom is a silently
+    // dropped shard.
     "Restore",         "MergeFrom",
     // Io seam (util/io_faults.hpp) and retry layer (util/retry.hpp): these
     // statuses ARE the fault-injection surface — discarding one turns an

@@ -77,9 +77,9 @@ void IngestReport::Merge(const IngestReport& other) {
   reordered += other.reordered;
   order_violations += other.order_violations;
   header_remapped = header_remapped || other.header_remapped;
+  columns_reordered = columns_reordered || other.columns_reordered;
   budget_exceeded = budget_exceeded || other.budget_exceeded;
   aborted = aborted || other.aborted;
-  repairs.insert(repairs.end(), other.repairs.begin(), other.repairs.end());
 }
 
 std::optional<std::string_view> CanonicalColumnName(std::string_view name) noexcept {

@@ -81,8 +81,10 @@ struct IngestPolicy {
   }
 };
 
-// Per-file ingest accounting: extends ParseStats with the reason breakdown,
-// order/duplicate damage counters and the repair actions taken.
+// Per-file ingest accounting: extends ParseStats with the reason breakdown
+// and the order/duplicate/schema damage counters.  Reports of several
+// streams Merge by summation; RepairLines (ingest_machine.hpp) renders the
+// repairs taken.
 struct IngestReport {
   ParseStats stats;
   std::array<std::size_t, kMalformedReasonCount> malformed_by_reason{};
@@ -92,11 +94,10 @@ struct IngestReport {
   std::size_t reordered = 0;            // repaired by the windowed re-sort
   std::size_t order_violations = 0;     // still delivered out of order
 
-  bool header_remapped = false;  // schema drift repaired via column mapping
-  bool budget_exceeded = false;  // final malformed fraction over budget
-  bool aborted = false;          // strict mode stopped the ingest early
-
-  std::vector<std::string> repairs;  // human-readable repair log
+  bool header_remapped = false;    // schema drift repaired via column mapping
+  bool columns_reordered = false;  // ... and the mapping moved columns
+  bool budget_exceeded = false;    // final malformed fraction over budget
+  bool aborted = false;            // strict mode stopped the ingest early
 
   // Records actually delivered to the sink.
   [[nodiscard]] std::size_t Delivered() const noexcept {

@@ -1,4 +1,4 @@
-// Tree checkpoints: the daemon's whole state as per-node v2 ASTRACKP
+// Tree checkpoints: the daemon's whole state as per-node ASTRACKP
 // monitor checkpoints (stream/checkpoint.hpp, unchanged format) under ONE
 // manifest that makes the set atomic.
 //

@@ -4,7 +4,7 @@
 //
 //   offset  size  field
 //   0       8     magic  "ASTRACKP"
-//   8       4     format version (currently 2)
+//   8       4     format version (currently 3)
 //   12      8     payload length in bytes
 //   20      4     CRC-32 of the payload bytes
 //   24      n     payload: StreamMonitor::Snapshot bytes (reader cursors
@@ -16,8 +16,13 @@
 //       het-record side buffer.
 //   2 — unified engine snapshots (core/engine.hpp): absolute-calendar-month
 //       bins in the coalesce and temporal engines, het records buffered
-//       inside the uncorrectable engine.  Version-1 payloads are laid out
-//       differently and are rejected with kBadVersion, never half-decoded.
+//       inside the uncorrectable engine.
+//   3 — each reader is its file cursor followed by its IngestMachine
+//       snapshot (logs/ingest_machine.hpp); repair log strings are no
+//       longer stored (they are derived from the counters) and the report
+//       gained the columns-reordered bit.
+// Payloads of any other version are laid out differently and are rejected
+// with kBadVersion, never half-decoded.
 //
 // Writes are atomic AND durable: the envelope is written to a `.tmp`
 // sidecar, the sidecar is fsync'd, renamed over the target, and the parent
@@ -53,7 +58,7 @@
 namespace astra::stream {
 
 inline constexpr std::string_view kCheckpointMagic = "ASTRACKP";
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 enum class CheckpointStatus {
   kOk,

@@ -92,8 +92,8 @@ core::AnalysisArtifacts StreamMonitor::Artifacts() const {
 }
 
 void StreamMonitor::Snapshot(binio::Writer& writer) const {
-  memory_reader_.SaveState(writer);
-  het_reader_.SaveState(writer);
+  memory_reader_.Snapshot(writer);
+  het_reader_.Snapshot(writer);
   set_.Snapshot(writer);
   alerts_.Snapshot(writer);
 }
@@ -109,8 +109,8 @@ void StreamMonitor::Reset() {
 
 bool StreamMonitor::Restore(binio::Reader& reader) {
   Reset();
-  const bool ok = memory_reader_.LoadState(reader) &&
-                  het_reader_.LoadState(reader) && set_.Restore(reader) &&
+  const bool ok = memory_reader_.Restore(reader) &&
+                  het_reader_.Restore(reader) && set_.Restore(reader) &&
                   alerts_.Restore(reader);
   if (!ok || !reader.Ok()) {
     Reset();

@@ -89,9 +89,9 @@ class StreamMonitor {
   [[nodiscard]] const StreamingAlerts& AlertEngine() const { return alerts_; }
   [[nodiscard]] const MonitorConfig& Config() const { return config_; }
 
-  // Engine-style checkpointing: reader cursors (TailReader::SaveState — a
-  // file cursor, not an engine) followed by the engine set and the alert
-  // engine through their uniform Snapshot/Restore.
+  // Engine-style checkpointing: the two readers (file cursor plus ingest
+  // machine), then the engine set and the alert engine, all through their
+  // uniform Snapshot/Restore.
   void Snapshot(binio::Writer& writer) const;
   // False on a malformed payload; the monitor is reset to a fresh start (as
   // if newly constructed), never half-restored.

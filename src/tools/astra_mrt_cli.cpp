@@ -7,11 +7,12 @@
 //       with a delay between them, so a `watch --follow` can tail them as
 //       they grow.
 //
-//   astra-mrt analyze DIR [--nodes=N] [--strict|--lenient] [--threads=N]
+//   astra-mrt analyze DIR [--strict|--lenient] [--threads=N]
 //                     [--max-malformed=F] [--reorder-window=SECONDS]
 //       Ingest a dataset directory (simulated or real) and print the
 //       complete reliability report: fault modes, positional verdicts,
-//       concentration, monthly series, DUE/FIT, predictor flags.
+//       concentration, monthly series, DUE/FIT, predictor flags.  The node
+//       span is the highest node id in the data plus one.
 //
 //   astra-mrt watch DIR [--follow] [--poll-ms=MS] [--idle-exit-ms=MS]
 //                   [--checkpoint=FILE] [--strict|--lenient]
@@ -273,7 +274,7 @@ void PrintUsage() {
       "usage:\n"
       "  astra-mrt simulate --out=DIR [--nodes=N] [--seed=S] [--sensor-stride=MIN]\n"
       "                     [--live] [--live-batch=N] [--live-delay-ms=MS]\n"
-      "  astra-mrt analyze DIR [--nodes=N] [--strict|--lenient] [--threads=N]\n"
+      "  astra-mrt analyze DIR [--strict|--lenient] [--threads=N]\n"
       "                    [--max-malformed=F] [--reorder-window=SECONDS]\n"
       "  astra-mrt watch DIR [--follow] [--poll-ms=MS] [--idle-exit-ms=MS]\n"
       "                  [--checkpoint=FILE] [--strict|--lenient]\n"

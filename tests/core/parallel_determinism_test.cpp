@@ -63,9 +63,10 @@ void ExpectReportsEqual(const logs::IngestReport& a, const logs::IngestReport& b
   EXPECT_EQ(a.reordered, b.reordered);
   EXPECT_EQ(a.order_violations, b.order_violations);
   EXPECT_EQ(a.header_remapped, b.header_remapped);
+  EXPECT_EQ(a.columns_reordered, b.columns_reordered);
   EXPECT_EQ(a.budget_exceeded, b.budget_exceeded);
   EXPECT_EQ(a.aborted, b.aborted);
-  EXPECT_EQ(a.repairs, b.repairs);
+  EXPECT_EQ(logs::RepairLines(a), logs::RepairLines(b));
 }
 
 void ExpectIngestsEqual(const DatasetIngest& a, const DatasetIngest& b) {

@@ -128,7 +128,7 @@ TEST_F(IngestTest, CleanFileFullAccounting) {
   EXPECT_EQ(report.stats.malformed, 0u);
   EXPECT_TRUE(report.Consistent());
   EXPECT_FALSE(report.budget_exceeded);
-  EXPECT_TRUE(report.repairs.empty());
+  EXPECT_TRUE(RepairLines(report).empty());
 }
 
 TEST_F(IngestTest, HeaderlessFileStartsWithData) {
@@ -150,7 +150,8 @@ TEST_F(IngestTest, ExactDuplicatesDropped) {
   EXPECT_EQ(report.duplicates_removed, 2u);
   EXPECT_EQ(report.Delivered(), 2u);
   EXPECT_TRUE(report.Consistent());
-  EXPECT_FALSE(report.repairs.empty());
+  EXPECT_EQ(RepairLines(report),
+            std::vector<std::string>{"dropped 2 exact duplicate record(s)"});
 }
 
 TEST_F(IngestTest, DedupDisabledKeepsDuplicates) {
@@ -224,7 +225,10 @@ TEST_F(IngestTest, DriftedHeaderRepairedEndToEnd) {
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0], original);
   EXPECT_TRUE(report.header_remapped);
-  EXPECT_FALSE(report.repairs.empty());
+  EXPECT_TRUE(report.columns_reordered);
+  EXPECT_EQ(RepairLines(report),
+            std::vector<std::string>{
+                "remapped drifted header (column order) back to canonical schema"});
 }
 
 TEST_F(IngestTest, RemapDisabledTreatsDriftedHeaderAsData) {

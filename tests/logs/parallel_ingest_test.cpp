@@ -38,9 +38,10 @@ void ExpectReportsEqual(const IngestReport& serial, const IngestReport& parallel
   EXPECT_EQ(serial.reordered, parallel.reordered);
   EXPECT_EQ(serial.order_violations, parallel.order_violations);
   EXPECT_EQ(serial.header_remapped, parallel.header_remapped);
+  EXPECT_EQ(serial.columns_reordered, parallel.columns_reordered);
   EXPECT_EQ(serial.budget_exceeded, parallel.budget_exceeded);
   EXPECT_EQ(serial.aborted, parallel.aborted);
-  EXPECT_EQ(serial.repairs, parallel.repairs);
+  EXPECT_EQ(RepairLines(serial), RepairLines(parallel));
   EXPECT_TRUE(parallel.Consistent());
 }
 

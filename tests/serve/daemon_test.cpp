@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <sstream>
@@ -13,6 +14,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/dataset.hpp"
+#include "core/engine.hpp"
+#include "core/report.hpp"
 #include "faultsim/fleet.hpp"
 #include "serve/fleet_dataset.hpp"
 #include "util/file_io.hpp"
@@ -103,6 +107,68 @@ TEST_F(ServeDaemonTest, DrainedFleetReportMatchesTheOneStreamOracle) {
   EXPECT_TRUE(daemon.Ready());
   EXPECT_TRUE(daemon.Quiesced());
   EXPECT_EQ(daemon.FleetReport(), OracleReport(BaseOptions()));
+}
+
+// `analyze DIR` at its defaults, rendered the way the CLI renders it.
+std::string AnalyzeReport(const std::string& dir) {
+  const logs::IngestPolicy policy;
+  const auto ingest =
+      core::IngestFailureData(core::DatasetPaths::InDirectory(dir), policy, 1);
+  std::ostringstream out;
+  core::RenderIngestReport(out, policy, ingest.memory_report,
+                           ingest.het_missing ? nullptr : &ingest.het_report);
+  EXPECT_FALSE(ingest.memory_errors.empty());
+  if (ingest.memory_errors.empty()) return out.str();
+  NodeId max_node = 0;
+  SimTime lo = ingest.memory_errors.front().timestamp;
+  SimTime hi = lo;
+  for (const auto& r : ingest.memory_errors) {
+    max_node = std::max(max_node, r.node);
+    lo = std::min(lo, r.timestamp);
+    hi = std::max(hi, r.timestamp);
+  }
+  SimTime het_start = hi;
+  for (const auto& r : ingest.het_events) het_start = std::min(het_start, r.timestamp);
+  core::RenderAnalysisReport(
+      out, core::BuildAnalysisArtifacts(ingest.memory_errors, ingest.het_events,
+                                        max_node + 1, {lo, hi.AddSeconds(1)},
+                                        het_start, &ingest.quality, 1));
+  return out.str();
+}
+
+TEST_F(ServeDaemonTest, DrainedFleetReportWithDuplicatesOnSeveralNodesMatchesAnalyze) {
+  // Re-log the first record of every node as an exact duplicate, so several
+  // node streams each drop duplicates.  The fleet report must sum them into
+  // the one repair line `analyze` prints over the combined logs.
+  faultsim::CampaignResult campaign = Campaign();
+  std::vector<NodeId> duplicated_nodes;
+  for (const auto& record : Campaign().memory_errors) {
+    if (std::find(duplicated_nodes.begin(), duplicated_nodes.end(), record.node) ==
+        duplicated_nodes.end()) {
+      duplicated_nodes.push_back(record.node);
+      campaign.memory_errors.push_back(record);
+    }
+  }
+  ASSERT_GE(duplicated_nodes.size(), 2u);
+  const std::string root = base_ + "/dup_fleet";
+  const std::string combined = base_ + "/dup_combined";
+  ASSERT_TRUE(WriteFleetDataset(campaign, root, topology_));
+  ASSERT_TRUE(WriteCombinedDataset(campaign, combined));
+
+  ServeOptions options = BaseOptions();
+  options.root = root;
+  ServeDaemon daemon(options);
+  std::string error;
+  ASSERT_TRUE(daemon.Init(&error)) << error;
+  EXPECT_EQ(daemon.Drain(), 0u);
+  const std::string report = daemon.FleetReport();
+  EXPECT_EQ(report, AnalyzeReport(combined));
+  std::size_t dedup_lines = 0;
+  for (std::size_t at = report.find("repair: dropped"); at != std::string::npos;
+       at = report.find("repair: dropped", at + 1)) {
+    ++dedup_lines;
+  }
+  EXPECT_EQ(dedup_lines, 1u) << report;
 }
 
 TEST_F(ServeDaemonTest, RackAndNodeReportsAreBoundsChecked) {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "serve/daemon.hpp"
 #include "util/file_io.hpp"
 
 namespace astra::serve {
@@ -93,6 +94,47 @@ TEST_F(TreeCheckpointTest, UnknownVersionIsRejected) {
   // The format version is the u32 at offset 8, right after the magic.
   EXPECT_EQ(ReloadAfter([](std::string& bytes) { bytes[8] = 99; }),
             CheckpointStatus::kBadVersion);
+}
+
+TEST_F(TreeCheckpointTest, RetiredNodeCheckpointVersionsAreRejected) {
+  // A healthy manifest naming node files written by an older build: the
+  // node envelopes are intact (the CRC covers only the payload) but carry
+  // format version 1 or 2.  Restore refuses the tree with kBadVersion and
+  // never decodes an old reader layout as the current one.
+  ServeOptions options;
+  options.root = dir_ + "/fleet";  // no logs: the readers report missing
+  options.topology = ServeTopology{1, 2};
+  options.checkpoint_dir = dir_ + "/ckp";
+  options.retry = RetryPolicy::None();
+  {
+    ServeDaemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.Init(&error)) << error;
+    daemon.PollAll();
+    ASSERT_TRUE(daemon.SaveCheckpoint());
+  }
+  TreeManifest manifest;
+  ASSERT_EQ(LoadTreeManifest(manifest, options.checkpoint_dir, RetryPolicy::None()),
+            CheckpointStatus::kOk);
+  const std::string node_file = options.checkpoint_dir + "/" + manifest.node_files[1];
+  const auto current = ReadFileBytes(node_file);
+  ASSERT_TRUE(current.has_value());
+
+  for (const char retired : {'\1', '\2'}) {
+    std::string bytes = *current;
+    bytes[8] = retired;  // the u32 format version, little-endian
+    ASSERT_TRUE(WriteFileBytes(node_file, bytes));
+    stream::StreamMonitor monitor(core::DatasetPaths::InDirectory(dir_),
+                                  stream::MonitorConfig{});
+    EXPECT_EQ(stream::RestoreMonitorCheckpoint(monitor, node_file),
+              CheckpointStatus::kBadVersion);
+    ServeDaemon restored(options);
+    std::string error;
+    EXPECT_FALSE(restored.Init(&error));
+    EXPECT_NE(error.find("node checkpoint rejected (incompatible checkpoint version)"),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST_F(TreeCheckpointTest, TruncationAnywhereIsDetected) {

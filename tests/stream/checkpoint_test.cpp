@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -55,6 +56,40 @@ class CheckpointTest : public ::testing::Test {
     const auto bytes = ReadFileBytes(checkpoint_);
     EXPECT_TRUE(bytes.has_value());
     return bytes.value_or("");
+  }
+
+  // A structurally perfect envelope (magic, declared length, matching CRC)
+  // around a current payload, labelled with format `version`.
+  std::string EnvelopeLabelled(std::uint32_t version) {
+    const std::string clean = SavedBytes();
+    EXPECT_GT(clean.size(), 24u);
+    const std::string payload = clean.substr(std::min<std::size_t>(24, clean.size()));
+    std::string envelope;
+    binio::Writer writer(envelope);
+    for (const char c : kCheckpointMagic) writer.PutU8(static_cast<std::uint8_t>(c));
+    writer.PutU32(version);
+    writer.PutU64(payload.size());
+    writer.PutU32(binio::Crc32(payload));
+    envelope += payload;
+    return envelope;
+  }
+
+  // A structurally perfect checkpoint of a retired `version` must be
+  // rejected as kBadVersion BEFORE any payload decode.  The operator's
+  // recovery is a fresh monitor that re-reads the logs, which is exactly the
+  // state the reject leaves behind: its Finish() matches the batch report.
+  void ExpectRetiredVersionRecovers(std::uint32_t version) {
+    const std::string envelope = EnvelopeLabelled(version);
+    ExpectRejected(envelope, CheckpointStatus::kBadVersion,
+                   "v" + std::to_string(version) + " envelope");
+
+    StreamMonitor monitor(paths_, MonitorConfig{});
+    const std::string path = dir_ + "/retired.ckpt";
+    ASSERT_TRUE(WriteFileBytes(path, envelope));
+    ASSERT_EQ(RestoreMonitorCheckpoint(monitor, path), CheckpointStatus::kBadVersion);
+    EXPECT_EQ(monitor.Finish(), MonitorStatus::kAdvanced);
+    auto batch = FinishedMonitor();
+    EXPECT_EQ(RenderOf(monitor), RenderOf(batch));
   }
 
   // Restoring `bytes` must fail with `expected` and leave the monitor fresh
@@ -153,43 +188,25 @@ TEST_F(CheckpointTest, WrongVersionRejected) {
             "incompatible checkpoint version");
 }
 
-TEST_F(CheckpointTest, SavedEnvelopeDeclaresVersionTwo) {
+TEST_F(CheckpointTest, SavedEnvelopeDeclaresVersionThree) {
   const std::string clean = SavedBytes();
   ASSERT_GT(clean.size(), 12u);
   binio::Reader header(std::string_view(clean).substr(kCheckpointMagic.size()));
-  EXPECT_EQ(header.GetU32(), 2u);
-  EXPECT_EQ(kCheckpointVersion, 2u);
+  EXPECT_EQ(header.GetU32(), 3u);
+  EXPECT_EQ(kCheckpointVersion, 3u);
 }
 
 TEST_F(CheckpointTest, UpgradePathVersionOneEnvelopeRejectedNotDecoded) {
-  // The upgrade path for a watcher left over from the pre-engine layout: a
-  // structurally perfect v1 checkpoint (magic, declared length, matching
-  // CRC) must be rejected as kBadVersion BEFORE any payload decode — v1
+  // The upgrade path for a watcher left over from the pre-engine layout: v1
   // payload bytes are laid out differently and must never be half-applied.
-  // The operator's recovery is a fresh monitor that re-reads the logs, which
-  // is exactly the state the reject leaves behind.
-  const std::string clean = SavedBytes();
-  ASSERT_GT(clean.size(), 24u);
-  const std::string v2_payload = clean.substr(24);
+  ExpectRetiredVersionRecovers(1);
+}
 
-  std::string envelope;
-  binio::Writer writer(envelope);
-  for (const char c : kCheckpointMagic) writer.PutU8(static_cast<std::uint8_t>(c));
-  writer.PutU32(1);  // the retired pre-engine format version
-  writer.PutU64(v2_payload.size());
-  writer.PutU32(binio::Crc32(v2_payload));
-  envelope += v2_payload;
-  ExpectRejected(envelope, CheckpointStatus::kBadVersion, "v1 envelope");
-
-  // After the reject, a fresh Finish() over the same logs fully recovers.
-  StreamMonitor monitor(paths_, MonitorConfig{});
-  const std::string v1_path = dir_ + "/v1.ckpt";
-  ASSERT_TRUE(WriteFileBytes(v1_path, envelope));
-  ASSERT_EQ(RestoreMonitorCheckpoint(monitor, v1_path),
-            CheckpointStatus::kBadVersion);
-  EXPECT_EQ(monitor.Finish(), MonitorStatus::kAdvanced);
-  auto batch = FinishedMonitor();
-  EXPECT_EQ(RenderOf(monitor), RenderOf(batch));
+TEST_F(CheckpointTest, UpgradePathVersionTwoEnvelopeRejectedNotDecoded) {
+  // Version 2 readers stored their own ingest state, repair log strings
+  // included; version 3 stores each cursor followed by its IngestMachine
+  // snapshot.
+  ExpectRetiredVersionRecovers(2);
 }
 
 TEST_F(CheckpointTest, HostilePayloadWithValidCrcRejected) {

@@ -54,9 +54,10 @@ void ExpectReportsEqual(const IngestReport& batch, const IngestReport& tail) {
   EXPECT_EQ(batch.reordered, tail.reordered);
   EXPECT_EQ(batch.order_violations, tail.order_violations);
   EXPECT_EQ(batch.header_remapped, tail.header_remapped);
+  EXPECT_EQ(batch.columns_reordered, tail.columns_reordered);
   EXPECT_EQ(batch.budget_exceeded, tail.budget_exceeded);
   EXPECT_EQ(batch.aborted, tail.aborted);
-  EXPECT_EQ(batch.repairs, tail.repairs);
+  EXPECT_EQ(logs::RepairLines(batch), logs::RepairLines(tail));
 }
 
 class TailReaderTest : public ::testing::Test {
@@ -239,12 +240,12 @@ TEST_F(TailReaderTest, CheckpointMidStreamResumesExactly) {
 
   std::string state;
   binio::Writer writer(state);
-  a.SaveState(writer);
+  a.Snapshot(writer);
 
   // Reader B restores and finishes the stream; A is discarded.
   TailReader<MemoryErrorRecord> b(path_, policy);
   binio::Reader reader(state);
-  ASSERT_TRUE(b.LoadState(reader));
+  ASSERT_TRUE(b.Restore(reader));
   EXPECT_TRUE(reader.AtEnd());
   Append(payload.substr(payload.size() / 2));
   (void)b.Poll(resumed_sink);
@@ -252,7 +253,7 @@ TEST_F(TailReaderTest, CheckpointMidStreamResumesExactly) {
   ExpectMatchesBatch(resumed, b.Report(), policy);
 }
 
-TEST_F(TailReaderTest, LoadStateRejectsCorruptPayloadAndResets) {
+TEST_F(TailReaderTest, RestoreRejectsCorruptPayloadAndResets) {
   TailReader<MemoryErrorRecord> a(path_, IngestPolicy{});
   Append(std::string(logs::MemoryErrorHeader()) + "\n" +
          logs::FormatRecord(MakeRecord(0)) + "\n");
@@ -260,13 +261,13 @@ TEST_F(TailReaderTest, LoadStateRejectsCorruptPayloadAndResets) {
   (void)a.Poll([&sunk](const MemoryErrorRecord& r) { sunk.push_back(r); });
   std::string state;
   binio::Writer writer(state);
-  a.SaveState(writer);
+  a.Snapshot(writer);
 
   for (const std::size_t cut : {std::size_t{0}, std::size_t{3}, state.size() / 2,
                                 state.size() - 1}) {
     TailReader<MemoryErrorRecord> b(path_, IngestPolicy{});
     binio::Reader reader(std::string_view(state).substr(0, cut));
-    EXPECT_FALSE(b.LoadState(reader)) << "cut at " << cut;
+    EXPECT_FALSE(b.Restore(reader)) << "cut at " << cut;
     EXPECT_EQ(b.Offset(), 0u);  // reset, not half-restored
   }
 }
