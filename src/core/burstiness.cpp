@@ -7,32 +7,6 @@
 
 namespace astra::core {
 
-bool BurstinessEngine::MergeFrom(const BurstinessEngine& other) {
-  if (&other == this) return false;
-  ce_times_.insert(ce_times_.end(), other.ce_times_.begin(), other.ce_times_.end());
-  return true;
-}
-
-void BurstinessEngine::Snapshot(binio::Writer& writer) const {
-  writer.PutU64(ce_times_.size());
-  for (const SimTime t : ce_times_) writer.PutI64(t.Seconds());
-}
-
-bool BurstinessEngine::Restore(binio::Reader& reader) {
-  ce_times_.clear();
-  const std::uint64_t count = reader.GetU64();
-  if (!reader.CanReadItems(count, sizeof(std::int64_t))) return false;
-  ce_times_.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ce_times_.push_back(SimTime{reader.GetI64()});
-  }
-  if (!reader.Ok()) {
-    ce_times_.clear();
-    return false;
-  }
-  return true;
-}
-
 BurstinessAnalysis AnalyzeBurstiness(std::span<const SimTime> timestamps,
                                      TimeWindow window, std::int64_t bucket_seconds) {
   BurstinessAnalysis analysis;

@@ -17,10 +17,7 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "logs/records.hpp"
-#include "util/binio.hpp"
 #include "util/sim_time.hpp"
 
 namespace astra::core {
@@ -46,35 +43,5 @@ struct BurstinessAnalysis {
                                                    TimeWindow window,
                                                    std::int64_t bucket_seconds =
                                                        SimTime::kSecondsPerHour);
-
-// The burstiness analyzer engine (contract in core/engine.hpp) over the CE
-// record stream.  The dispersion measures need every arrival time, so the
-// engine buffers CE timestamps; AnalyzeBurstiness sorts internally, making
-// the merge-by-concatenation exact in any shard order.  (The fault-onset
-// variants of the analysis run on coalesce output, not on this engine.)
-class BurstinessEngine {
- public:
-  void Observe(const logs::MemoryErrorRecord& record, std::uint64_t /*seq*/) {
-    if (record.type == logs::FailureType::kCorrectable) {
-      ce_times_.push_back(record.timestamp);
-    }
-  }
-
-  // Concatenates; fails only on self-merge (no configuration to mismatch).
-  [[nodiscard]] bool MergeFrom(const BurstinessEngine& other);
-
-  void Snapshot(binio::Writer& writer) const;
-  // False on a malformed payload (engine left empty, never half-restored).
-  [[nodiscard]] bool Restore(binio::Reader& reader);
-
-  [[nodiscard]] BurstinessAnalysis Finalize(TimeWindow window,
-                                            std::int64_t bucket_seconds =
-                                                SimTime::kSecondsPerHour) const {
-    return AnalyzeBurstiness(ce_times_, window, bucket_seconds);
-  }
-
- private:
-  std::vector<SimTime> ce_times_;
-};
 
 }  // namespace astra::core

@@ -174,16 +174,9 @@ class FaultCoalescer {
   // Convenience one-shot API.  When `quality` is provided (records came from
   // a hardened dataset ingest), its damage summary is turned into explicit
   // caveats on the result instead of being silently ignored.
-  //
-  // `threads` > 1 coalesces contiguous record-index shards concurrently and
-  // reduces the per-shard engines via MergeFrom in index order — the
-  // determinism idiom shared by every analysis (util/parallel.hpp), so
-  // results are identical at any thread count.  0 = hardware concurrency,
-  // 1 = serial.
   [[nodiscard]] static CoalesceResult Coalesce(
       std::span<const logs::MemoryErrorRecord> records,
-      const CoalesceOptions& options = {}, const DataQuality* quality = nullptr,
-      unsigned threads = 1);
+      const CoalesceOptions& options = {}, const DataQuality* quality = nullptr);
 
   // Checkpoint support: serialize the accumulated grouping state
   // deterministically (sorted keys, sorted map entries) so a restored

@@ -2,25 +2,11 @@
 
 #include <algorithm>
 
-#include "core/burstiness.hpp"
-#include "core/impact.hpp"
-#include "core/lifetime.hpp"
-#include "core/spatial.hpp"
-#include "core/temperature.hpp"
-#include "core/vendor_analysis.hpp"
 #include "faultsim/fleet.hpp"
 #include "util/parallel.hpp"
 
 namespace astra::core {
 
-// The non-report analyses honor the same contract; pinned here so a drifted
-// signature is a compile error, not a doc rot.
-static_assert(AnalyzerEngine<LifetimeEngine>);
-static_assert(AnalyzerEngine<BurstinessEngine>);
-static_assert(AnalyzerEngine<TemperatureEngine>);
-static_assert(AnalyzerEngine<ImpactEngine>);
-static_assert(AnalyzerEngine<SpatialEngine>);
-static_assert(AnalyzerEngine<VendorEngine>);
 static_assert(AnalyzerEngine<AnalysisEngineSet>);
 
 AnalysisEngineSet::AnalysisEngineSet(const EngineSetConfig& config,
@@ -29,23 +15,6 @@ AnalysisEngineSet::AnalysisEngineSet(const EngineSetConfig& config,
       coalescer_(config.coalesce),
       predictor_(config.predictor),
       next_seq_(first_sequence) {}
-
-void AnalysisEngineSet::ObserveMemory(const logs::MemoryErrorRecord& record) {
-  const std::uint64_t seq = next_seq_++;
-  coalescer_.Observe(record, seq);
-  positional_.Observe(record, seq);
-  temporal_.Observe(record, seq);
-  predictor_.Observe(record, seq);
-  ++delivered_;
-  max_node_ = std::max(max_node_, record.node);
-  if (!any_) {
-    any_ = true;
-    lo_ = hi_ = record.timestamp;
-  } else {
-    lo_ = std::min(lo_, record.timestamp);
-    hi_ = std::max(hi_, record.timestamp);
-  }
-}
 
 void AnalysisEngineSet::ObserveMemoryBatch(
     std::span<const logs::MemoryErrorRecord> batch) {

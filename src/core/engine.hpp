@@ -1,13 +1,19 @@
-// The single incremental analysis core.  Every analysis in core/ is an
-// ENGINE honoring one contract, and the three drivers — batch serial, batch
-// parallel, streaming watch — are thin shells over the same engines:
+// The single incremental analysis core.  The five analyses the printed
+// report is made of — fault coalescing, positional tallies, the monthly
+// series, the CE-pattern predictor and the DUE/FIT accounting — are ENGINES
+// honoring one contract, composed into AnalysisEngineSet, and the three
+// drivers are thin shells over that set:
 //
 //   batch serial   = one engine set, records replayed in file order;
 //   batch parallel = per-shard engine sets over contiguous record-index
 //                    ranges, reduced via MergeFrom in shard INDEX order
-//                    (util/parallel.hpp ShardedReduce);
+//                    (BuildAnalysisArtifacts below);
 //   streaming      = the same engine set fed by TailReader as records
 //                    arrive, checkpointed through Snapshot/Restore.
+//
+// The figure analyses (lifetimes, burstiness, temperature look-backs,
+// impact, spatial clustering, vendors) are one-shot batch functions over a
+// record set or a CoalesceResult; no driver feeds them incrementally.
 //
 // The contract (each engine implements all five):
 //
@@ -149,28 +155,26 @@ struct AnalysisArtifacts {
 // members, MergeFrom/Snapshot/Restore delegate member-wise in fixed order.
 class AnalysisEngineSet {
  public:
-  // `first_sequence` seeds the global stream index of the next ObserveMemory
-  // — per-shard sets pass their shard's first record index so sequence
+  // `first_sequence` seeds the global stream index of the next observed
+  // record — per-shard sets pass their shard's first record index so sequence
   // numbers are globally consistent after the index-order reduction.
   explicit AnalysisEngineSet(const EngineSetConfig& config = {},
                              std::uint64_t first_sequence = 0);
 
-  void ObserveMemory(const logs::MemoryErrorRecord& record);
   void ObserveHet(const logs::HetRecord& record);
 
-  // Deliver a contiguous batch: identical final state to calling
-  // ObserveMemory per record, but each member engine consumes the whole span
-  // in one call (engines are independent, so engine-wise delivery reorders
-  // nothing an engine can see).
+  // Deliver a contiguous batch, numbered from the set's next stream index.
+  // Each member engine consumes the whole span in one call (engines are
+  // independent, so engine-wise delivery reorders nothing an engine can see).
   void ObserveMemoryBatch(std::span<const logs::MemoryErrorRecord> batch);
 
   // Contract form: deliver `record` AS global stream index `seq`.  The
-  // streaming driver uses ObserveMemory and lets the set number its own
-  // stream; a caller replaying an explicit indexing (the contract property
-  // tests, a shard fed out-of-band) pins each record's index here.
+  // drivers use ObserveMemoryBatch and let the set number its own stream; a
+  // caller replaying an explicit indexing (the contract property tests)
+  // pins each record's index here.
   void Observe(const logs::MemoryErrorRecord& record, std::uint64_t seq) {
     next_seq_ = seq;
-    ObserveMemory(record);
+    ObserveMemoryBatch(std::span(&record, 1));
   }
 
   [[nodiscard]] bool MergeFrom(const AnalysisEngineSet& other);
@@ -231,10 +235,13 @@ namespace astra::core {
 // The in-memory campaign trial path: feed a simulator result straight into
 // the engine set (ObserveMemoryBatch over the record vectors, window and
 // populations taken from the config) with no serialize-to-disk + re-parse
-// round trip.  Byte-identical artifacts to `simulate` + `analyze` over the
-// same campaign modulo the window inference analyze performs from record
-// extremes; the campaign runner executes hundreds of trials through this
-// path (bench_campaign quantifies the saving).
+// round trip; the campaign runner executes hundreds of trials through this
+// path (bench_campaign quantifies the saving).  NOT the same artifacts as
+// `simulate` + `analyze`: this path analyses every simulated record,
+// including the same-second repeats that analyze's ingest drops as exact
+// duplicates (639,051 against 618,822 records at --nodes=400 --seed=1), and
+// takes the window and node count from the config instead of inferring them
+// from the records.
 [[nodiscard]] AnalysisArtifacts AnalyzeCampaignResult(
     const faultsim::CampaignResult& result,
     const faultsim::CampaignConfig& config, unsigned threads = 0);

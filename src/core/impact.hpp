@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <span>
 
-#include "core/record_buffer.hpp"
 #include "logs/records.hpp"
 
 namespace astra::core {
@@ -62,31 +61,5 @@ struct ImpactAnalysis {
 [[nodiscard]] ImpactAnalysis AnalyzeImpact(
     std::span<const logs::MemoryErrorRecord> records, TimeWindow window,
     int node_count, const ImpactConfig& config = {});
-
-// The impact analyzer engine (contract in core/engine.hpp).  The chipkill
-// counterfactual is ORDER-SENSITIVE — a DUE is avoidable only if the
-// multi-bit signature preceded it in the stream — so the engine buffers the
-// stream verbatim; index-order MergeFrom reconstructs the original order and
-// Finalize replays AnalyzeImpact exactly.
-class ImpactEngine {
- public:
-  void Observe(const logs::MemoryErrorRecord& record, std::uint64_t /*seq*/) {
-    records_.Add(record);
-  }
-  [[nodiscard]] bool MergeFrom(const ImpactEngine& other) {
-    return records_.MergeFrom(other.records_);
-  }
-  void Snapshot(binio::Writer& writer) const { records_.Snapshot(writer); }
-  [[nodiscard]] bool Restore(binio::Reader& reader) {
-    return records_.Restore(reader);
-  }
-  [[nodiscard]] ImpactAnalysis Finalize(TimeWindow window, int node_count,
-                                        const ImpactConfig& config = {}) const {
-    return AnalyzeImpact(records_.Records(), window, node_count, config);
-  }
-
- private:
-  RecordBuffer<logs::MemoryErrorRecord> records_;
-};
 
 }  // namespace astra::core

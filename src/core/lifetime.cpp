@@ -1,6 +1,7 @@
 #include "core/lifetime.hpp"
 
 #include <algorithm>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -23,55 +24,26 @@ std::vector<typename Map::key_type> SortedKeys(const Map& map) {
 
 }  // namespace
 
-void LifetimeEngine::Observe(const logs::MemoryErrorRecord& record,
-                             std::uint64_t /*seq*/) {
-  if (record.type != logs::FailureType::kCorrectable) return;
-  const std::int64_t dimm = GlobalDimmIndex(record.node, record.slot);
-  const std::int64_t seconds = record.timestamp.Seconds();
-  const auto [it, inserted] = first_ce_.try_emplace(dimm, seconds);
-  if (!inserted && seconds < it->second) it->second = seconds;
-}
-
-bool LifetimeEngine::MergeFrom(const LifetimeEngine& other) {
-  if (&other == this) return false;
-  for (const auto& [dimm, seconds] : other.first_ce_) {
-    const auto [it, inserted] = first_ce_.try_emplace(dimm, seconds);
+LifetimeAnalysis AnalyzeLifetimes(std::span<const logs::MemoryErrorRecord> records,
+                                  const CoalesceResult& coalesced, TimeWindow window,
+                                  int dimm_count) {
+  // Each DIMM's earliest CE (ordered by DIMM, so the estimators accumulate
+  // in a fixed order).
+  std::map<std::int64_t, std::int64_t> first_ce;
+  for (const auto& record : records) {
+    if (record.type != logs::FailureType::kCorrectable) continue;
+    const std::int64_t dimm = GlobalDimmIndex(record.node, record.slot);
+    const std::int64_t seconds = record.timestamp.Seconds();
+    const auto [it, inserted] = first_ce.try_emplace(dimm, seconds);
     if (!inserted && seconds < it->second) it->second = seconds;
   }
-  return true;
-}
 
-void LifetimeEngine::Snapshot(binio::Writer& writer) const {
-  writer.PutU64(first_ce_.size());
-  for (const auto& [dimm, seconds] : first_ce_) {
-    writer.PutI64(dimm);
-    writer.PutI64(seconds);
-  }
-}
-
-bool LifetimeEngine::Restore(binio::Reader& reader) {
-  first_ce_.clear();
-  const std::uint64_t count = reader.GetU64();
-  if (!reader.CanReadItems(count, 2 * sizeof(std::int64_t))) return false;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::int64_t dimm = reader.GetI64();
-    first_ce_[dimm] = reader.GetI64();
-  }
-  if (!reader.Ok()) {
-    first_ce_.clear();
-    return false;
-  }
-  return true;
-}
-
-LifetimeAnalysis LifetimeEngine::Finalize(const CoalesceResult& coalesced,
-                                          TimeWindow window, int dimm_count) const {
   LifetimeAnalysis analysis;
   const double window_days = window.DurationDays();
 
   std::vector<stats::SurvivalObservation> first_ce_obs;
   first_ce_obs.reserve(static_cast<std::size_t>(dimm_count));
-  for (const auto& [dimm, seconds] : first_ce_) {
+  for (const auto& [dimm, seconds] : first_ce) {
     stats::SurvivalObservation obs;
     obs.time = static_cast<double>(SecondsBetween(window.begin, SimTime{seconds})) /
                kSecondsPerDay;
@@ -79,8 +51,8 @@ LifetimeAnalysis LifetimeEngine::Finalize(const CoalesceResult& coalesced,
     first_ce_obs.push_back(obs);
   }
   const std::size_t censored =
-      static_cast<std::size_t>(dimm_count) > first_ce_.size()
-          ? static_cast<std::size_t>(dimm_count) - first_ce_.size()
+      static_cast<std::size_t>(dimm_count) > first_ce.size()
+          ? static_cast<std::size_t>(dimm_count) - first_ce.size()
           : 0;
   for (std::size_t i = 0; i < censored; ++i) {
     first_ce_obs.push_back(stats::SurvivalObservation{window_days, false});
@@ -90,7 +62,7 @@ LifetimeAnalysis LifetimeEngine::Finalize(const CoalesceResult& coalesced,
   analysis.first_ce_weibull = stats::FitWeibull(first_ce_obs);
   analysis.first_ce_exponential = stats::FitExponential(first_ce_obs);
   analysis.first_ce_afr = stats::AnnualizedFailureRate(
-      first_ce_.size(), analysis.first_ce_exponential.total_exposure, 365.25);
+      first_ce.size(), analysis.first_ce_exponential.total_exposure, 365.25);
 
   // Fault activity spans.  A fault still erroring within a day of the
   // window end is censored: we did not observe it go quiet.
@@ -109,15 +81,6 @@ LifetimeAnalysis LifetimeEngine::Finalize(const CoalesceResult& coalesced,
   analysis.fault_activity_days = stats::KaplanMeier(activity);
   analysis.median_fault_activity_days = analysis.fault_activity_days.MedianSurvival();
   return analysis;
-}
-
-LifetimeAnalysis AnalyzeLifetimes(std::span<const logs::MemoryErrorRecord> records,
-                                  const CoalesceResult& coalesced, TimeWindow window,
-                                  int dimm_count) {
-  LifetimeEngine engine;
-  std::uint64_t seq = 0;
-  for (const auto& record : records) engine.Observe(record, seq++);
-  return engine.Finalize(coalesced, window, dimm_count);
 }
 
 ReplacementLifetimeAnalysis AnalyzeReplacementLifetimes(

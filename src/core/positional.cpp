@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/parallel.hpp"
-
 namespace astra::core {
 namespace {
 
@@ -201,28 +199,10 @@ bool PositionalCounts::Restore(binio::Reader& reader) {
 
 PositionalAnalysis AnalyzePositions(std::span<const logs::MemoryErrorRecord> records,
                                     const CoalesceResult& coalesced, int node_span,
-                                    const DataQuality* quality, unsigned threads) {
+                                    const DataQuality* quality) {
   PositionalCounts errors;
   errors.per_node.assign(static_cast<std::size_t>(node_span), 0);
-
-  // --- errors: one tally per CE record ------------------------------------
-  const auto tally_range = [&records](PositionalCounts& counts, std::size_t begin,
-                                      std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      TallyErrorRecord(counts, records[i]);
-    }
-  };
-  const unsigned resolved = ResolveThreadCount(threads);
-  if (resolved <= 1 || records.size() < kParallelAnalysisMinItems) {
-    tally_range(errors, 0, records.size());
-  } else {
-    // Per-shard accumulators reduced in index order; counts are sums, so
-    // the reduction is order-insensitive and hence thread-count-invariant.
-    // FinalizePositions renormalizes per_node to the analysed span.
-    errors = ShardedReduce<PositionalCounts>(
-        records.size(), resolved,
-        [](std::size_t) { return PositionalCounts{}; }, tally_range);
-  }
+  for (const auto& record : records) TallyErrorRecord(errors, record);
   return FinalizePositions(std::move(errors), coalesced, node_span, quality);
 }
 

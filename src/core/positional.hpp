@@ -108,13 +108,10 @@ struct PositionalAnalysis {
 // arrays (use the campaign's node_count; records outside are ignored).
 // DUE records are excluded to match the paper's CE-based analysis.
 // `quality` (optional) carries ingest damage into the result's caveats.
-// `threads` > 1 tallies record shards into per-thread accumulators reduced
-// in shard index order; results are identical at any thread count
-// (0 = hardware concurrency, 1 = serial).
 [[nodiscard]] PositionalAnalysis AnalyzePositions(
     std::span<const logs::MemoryErrorRecord> records,
     const CoalesceResult& coalesced, int node_span,
-    const DataQuality* quality = nullptr, unsigned threads = 1);
+    const DataQuality* quality = nullptr);
 
 // Streaming building blocks: AnalyzePositions is exactly TallyErrorRecord
 // over every record followed by FinalizePositions.  TallyErrorRecord ignores

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "stats/linear_fit.hpp"
-#include "util/parallel.hpp"
 
 namespace astra::core {
 
@@ -109,20 +108,9 @@ MonthlyErrorSeries TemporalEngine::Finalize(const CoalesceResult& coalesced,
 
 MonthlyErrorSeries BuildMonthlySeries(std::span<const logs::MemoryErrorRecord> records,
                                       const CoalesceResult& coalesced, SimTime origin,
-                                      int month_count, unsigned threads) {
-  const auto observe_range = [&records](TemporalEngine& engine, std::size_t begin,
-                                        std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) engine.Observe(records[i], i);
-  };
-  const unsigned resolved = ResolveThreadCount(threads);
+                                      int month_count) {
   TemporalEngine engine;
-  if (resolved <= 1 || records.size() < kParallelAnalysisMinItems) {
-    observe_range(engine, 0, records.size());
-  } else {
-    engine = ShardedReduce<TemporalEngine>(
-        records.size(), resolved, [](std::size_t) { return TemporalEngine{}; },
-        observe_range);
-  }
+  engine.ObserveBatch(records, 0);
   return engine.Finalize(coalesced, origin, month_count);
 }
 

@@ -1,8 +1,11 @@
 #include "core/uncorrectable.hpp"
 
-#include "stats/special.hpp"
-
 #include <algorithm>
+#include <optional>
+#include <string>
+
+#include "logs/serialize.hpp"
+#include "stats/special.hpp"
 
 namespace astra::core {
 
@@ -68,6 +71,37 @@ UncorrectableAnalysis AnalyzeUncorrectable(std::span<const logs::HetRecord> reco
     analysis.caveats.insert(analysis.caveats.end(), extra.begin(), extra.end());
   }
   return analysis;
+}
+
+bool UncorrectableEngine::MergeFrom(const UncorrectableEngine& other) {
+  if (&other == this) return false;
+  records_.insert(records_.end(), other.records_.begin(), other.records_.end());
+  return true;
+}
+
+void UncorrectableEngine::Snapshot(binio::Writer& writer) const {
+  writer.PutU64(records_.size());
+  for (const auto& record : records_) {
+    writer.PutString(logs::FormatRecord(record));
+  }
+}
+
+bool UncorrectableEngine::Restore(binio::Reader& reader) {
+  records_.clear();
+  const std::uint64_t count = reader.GetU64();
+  bool ok = reader.CanReadItems(count, 8);
+  std::string line;
+  for (std::uint64_t i = 0; ok && i < count; ++i) {
+    ok = reader.GetString(line);
+    const auto record = ok ? logs::ParseHet(line) : std::nullopt;
+    ok = record.has_value();
+    if (ok) records_.push_back(*record);
+  }
+  if (!ok || !reader.Ok()) {
+    records_.clear();
+    return false;
+  }
+  return true;
 }
 
 }  // namespace astra::core

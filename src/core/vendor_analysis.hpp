@@ -20,7 +20,6 @@
 
 #include "core/coalesce.hpp"
 #include "stats/bootstrap.hpp"
-#include "util/binio.hpp"
 
 namespace astra::core {
 
@@ -55,23 +54,5 @@ struct VendorAnalysisOptions {
 
 [[nodiscard]] VendorAnalysis AnalyzeVendors(const CoalesceResult& coalesced,
                                             const VendorAnalysisOptions& options);
-
-// The vendor analyzer engine (contract in core/engine.hpp).  Vendor rates
-// are a pure function of the coalesce fragment (the vendor tag rides in each
-// fault's anchor bit encoding), so like SpatialEngine this is a
-// finalize-stage engine with no per-record state.
-class VendorEngine {
- public:
-  void Observe(const logs::MemoryErrorRecord& /*record*/, std::uint64_t /*seq*/) {}
-  [[nodiscard]] bool MergeFrom(const VendorEngine& other) {
-    return &other != this;
-  }
-  void Snapshot(binio::Writer& /*writer*/) const {}
-  [[nodiscard]] bool Restore(binio::Reader& reader) { return reader.Ok(); }
-  [[nodiscard]] VendorAnalysis Finalize(const CoalesceResult& coalesced,
-                                        const VendorAnalysisOptions& options) const {
-    return AnalyzeVendors(coalesced, options);
-  }
-};
 
 }  // namespace astra::core

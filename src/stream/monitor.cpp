@@ -21,8 +21,7 @@ StreamMonitor::StreamMonitor(const core::DatasetPaths& paths,
 
 void StreamMonitor::FlushPending() {
   if (pending_.empty()) return;
-  // Batched delivery to the engine set — identical state to per-record
-  // ObserveMemory (core/engine.hpp), and the set still numbers the stream
+  // Batched delivery to the engine set — the set numbers the stream
   // itself, so the delivery index stays the batch evaluator's stable-sort
   // tie-break.  Alerts see records one at a time, in delivery order,
   // exactly as before.

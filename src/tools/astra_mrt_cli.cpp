@@ -12,7 +12,8 @@
 //       Ingest a dataset directory (simulated or real) and print the
 //       complete reliability report: fault modes, positional verdicts,
 //       concentration, monthly series, DUE/FIT, predictor flags.  The node
-//       span is the highest node id in the data plus one.
+//       span is the highest node id in the data plus one, so analyze and
+//       watch refuse --nodes (exit 1) rather than ignore it.
 //
 //   astra-mrt watch DIR [--follow] [--poll-ms=MS] [--idle-exit-ms=MS]
 //                   [--checkpoint=FILE] [--strict|--lenient]
@@ -117,7 +118,8 @@ struct CliOptions {
   bool json = false;
   int trials = 0;  // 0 = grid file / default
   // Flag-given markers: campaign grid files carry their own seed/nodes, and
-  // an explicit flag must win over the file, not over the default.
+  // an explicit flag must win over the file, not over the default.  analyze
+  // and watch refuse an explicit --nodes.
   bool seed_set = false;
   bool nodes_set = false;
 
@@ -671,7 +673,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string_view command = argv[1];
-  const astra::CliOptions options = astra::ParseCommon(argc, argv, 2);
+  astra::CliOptions options = astra::ParseCommon(argc, argv, 2);
+  if ((command == "analyze" || command == "watch") && options.nodes_set &&
+      options.bad_flag.empty()) {
+    options.bad_flag =
+        "--nodes is not accepted: the node span comes from the data "
+        "(highest node id + 1)";
+  }
   if (!options.bad_flag.empty()) {
     std::cerr << command << ": " << options.bad_flag << "\n";
     return 1;

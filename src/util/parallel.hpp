@@ -104,8 +104,8 @@ void ParallelShards(std::size_t count, std::size_t shard_count,
 
 // Below this many items the analysis passes run serially: shard setup and
 // the MergeFrom reduction cost more than they save, and the serial path is
-// byte-identical anyway.  Shared by every sharded analysis (coalesce,
-// positional, temporal, the engine-set driver); the ingest-side analogue is
+// byte-identical anyway.  Gates the engine-set driver (core/engine.cpp
+// BuildAnalysisArtifacts); the ingest-side analogue is
 // logs/parallel_ingest.hpp's kParallelIngestMinBytes.
 inline constexpr std::size_t kParallelAnalysisMinItems = std::size_t{1} << 15;
 

@@ -21,18 +21,13 @@
 
 #include <cstddef>
 #include <filesystem>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/burstiness.hpp"
 #include "core/dataset.hpp"
-#include "core/impact.hpp"
-#include "core/lifetime.hpp"
 #include "core/report.hpp"
-#include "core/spatial.hpp"
-#include "core/temperature.hpp"
-#include "core/vendor_analysis.hpp"
 #include "faultsim/fleet.hpp"
 #include "logs/corruption.hpp"
 #include "util/binio.hpp"
@@ -108,7 +103,6 @@ void CheckDamagedRestoreRejectsAndResets(Make make,
   for (std::size_t i = 0; i < records.size(); ++i) full.Observe(records[i], i);
   const std::string saved = SnapshotBytes(full);
   const std::string fresh = SnapshotBytes(make());
-  if (saved.empty()) return;  // stateless finalize-stage engine
 
   for (const std::size_t keep :
        {std::size_t{0}, saved.size() / 4, saved.size() / 2, saved.size() - 1}) {
@@ -229,60 +223,6 @@ TEST_F(EngineContractTest, PredictorEngineConfigMismatchRefused) {
   EXPECT_FALSE(a.MergeFrom(b));
 }
 
-TEST_F(EngineContractTest, LifetimeEngine) {
-  const auto records = MemoryPrefix();
-  const auto make = [] { return LifetimeEngine{}; };
-  CheckSplitMergeEqualsSerial<LifetimeEngine>(make, records);
-  CheckMidStreamResume<LifetimeEngine>(make, records);
-  CheckDamagedRestoreRejectsAndResets<LifetimeEngine>(make, records);
-  CheckSelfMergeRefused<LifetimeEngine>(make);
-}
-
-TEST_F(EngineContractTest, BurstinessEngine) {
-  const auto records = MemoryPrefix();
-  const auto make = [] { return BurstinessEngine{}; };
-  CheckSplitMergeEqualsSerial<BurstinessEngine>(make, records);
-  CheckMidStreamResume<BurstinessEngine>(make, records);
-  CheckDamagedRestoreRejectsAndResets<BurstinessEngine>(make, records);
-  CheckSelfMergeRefused<BurstinessEngine>(make);
-}
-
-TEST_F(EngineContractTest, TemperatureEngine) {
-  const auto records = MemoryPrefix(80);  // replay buffer: O(n^2) bytes moved
-  const auto make = [] { return TemperatureEngine{}; };
-  CheckSplitMergeEqualsSerial<TemperatureEngine>(make, records);
-  CheckMidStreamResume<TemperatureEngine>(make, records);
-  CheckDamagedRestoreRejectsAndResets<TemperatureEngine>(make, records);
-  CheckSelfMergeRefused<TemperatureEngine>(make);
-}
-
-TEST_F(EngineContractTest, ImpactEngine) {
-  const auto records = MemoryPrefix(80);  // replay buffer: O(n^2) bytes moved
-  const auto make = [] { return ImpactEngine{}; };
-  CheckSplitMergeEqualsSerial<ImpactEngine>(make, records);
-  CheckMidStreamResume<ImpactEngine>(make, records);
-  CheckDamagedRestoreRejectsAndResets<ImpactEngine>(make, records);
-  CheckSelfMergeRefused<ImpactEngine>(make);
-}
-
-TEST_F(EngineContractTest, SpatialEngine) {
-  const auto records = MemoryPrefix();
-  const auto make = [] { return SpatialEngine{}; };
-  CheckSplitMergeEqualsSerial<SpatialEngine>(make, records);
-  CheckMidStreamResume<SpatialEngine>(make, records);
-  CheckDamagedRestoreRejectsAndResets<SpatialEngine>(make, records);
-  CheckSelfMergeRefused<SpatialEngine>(make);
-}
-
-TEST_F(EngineContractTest, VendorEngine) {
-  const auto records = MemoryPrefix();
-  const auto make = [] { return VendorEngine{}; };
-  CheckSplitMergeEqualsSerial<VendorEngine>(make, records);
-  CheckMidStreamResume<VendorEngine>(make, records);
-  CheckDamagedRestoreRejectsAndResets<VendorEngine>(make, records);
-  CheckSelfMergeRefused<VendorEngine>(make);
-}
-
 TEST_F(EngineContractTest, UncorrectableEngine) {
   const auto& records = HetRecords();
   const auto make = [] { return UncorrectableEngine{}; };
@@ -294,6 +234,57 @@ TEST_F(EngineContractTest, UncorrectableEngine) {
   CheckSelfMergeRefused<UncorrectableEngine>(make);
 }
 
+// Little-endian u64, spelled out so the expected bytes below do not go
+// through binio.
+std::string Le64(std::uint64_t v) {
+  std::string out;
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+  return out;
+}
+
+// The engine's checkpoint payload is part of the ASTRACKP format
+// (stream/checkpoint.hpp): a u64 record count, then each record as a
+// length-prefixed canonical HET log line.  Pinned byte for byte so a change
+// to the layout cannot pass as a refactor.
+TEST_F(EngineContractTest, UncorrectableSnapshotBytesArePinned) {
+  logs::HetRecord due;
+  due.timestamp = SimTime::FromCivil(2019, 6, 1, 12, 0, 0);
+  due.node = 17;
+  due.event = logs::HetEventType::kUncorrectableEcc;
+  due.severity = logs::HetSeverity::kNonRecoverable;
+  due.socket = 1;
+  due.slot = 3;
+  logs::HetRecord psu;
+  psu.timestamp = SimTime::FromCivil(2019, 6, 2, 3, 4, 5);
+  psu.node = 2590;
+  psu.event = logs::HetEventType::kPowerSupplyFailure;
+
+  UncorrectableEngine engine;
+  engine.Observe(due, 0);
+  engine.Observe(psu, 1);
+
+  const std::string due_line =
+      "2019-06-01 12:00:00\t17\tuncorrectableECC\tNON-RECOVERABLE\t1\t3";
+  const std::string psu_line =
+      "2019-06-02 03:04:05\t2590\tpowerSupplyFailureDetected\tINFORMATIONAL\t-1\t-1";
+  const std::string want = Le64(2) + Le64(59) + due_line + Le64(71) + psu_line;
+  ASSERT_EQ(due_line.size(), 59u);
+  ASSERT_EQ(psu_line.size(), 71u);
+  EXPECT_EQ(SnapshotBytes(engine), want);
+
+  UncorrectableEngine restored;
+  binio::Reader reader{std::string_view(want)};
+  ASSERT_TRUE(restored.Restore(reader));
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(SnapshotBytes(restored), want);
+
+  // A line the HET parser rejects fails the restore and leaves it empty.
+  const std::string bad = Le64(1) + Le64(7) + "garbage";
+  binio::Reader bad_reader{std::string_view(bad)};
+  EXPECT_FALSE(restored.Restore(bad_reader));
+  EXPECT_EQ(SnapshotBytes(restored), SnapshotBytes(UncorrectableEngine{}));
+}
+
 // --- AnalysisEngineSet: the composite the drivers actually hold ---------------
 
 std::string RenderedReport(const AnalysisEngineSet& set) {
@@ -303,7 +294,7 @@ std::string RenderedReport(const AnalysisEngineSet& set) {
 }
 
 TEST_F(EngineContractTest, EngineSetContractProperties) {
-  const auto records = MemoryPrefix(100);  // holds two replay buffers
+  const auto records = MemoryPrefix(100);  // five engines per split
   const auto make = [] { return AnalysisEngineSet{}; };
   CheckSplitMergeEqualsSerial<AnalysisEngineSet>(make, records);
   CheckMidStreamResume<AnalysisEngineSet>(make, records);
@@ -320,14 +311,14 @@ TEST_F(EngineContractTest, EngineSetConfigMismatchRefused) {
 }
 
 // The parallel driver's sharding: shard k's engine is seeded with its first
-// GLOBAL index and fed via ObserveMemory; index-order reduction plus serial
+// GLOBAL index and fed via ObserveMemoryBatch; index-order reduction plus serial
 // het replay must render the byte-identical report.
 TEST_F(EngineContractTest, EngineSetShardedReductionRendersIdentically) {
   const auto& records = campaign_->memory_errors;
   const auto& het = HetRecords();
 
   AnalysisEngineSet serial;
-  for (const auto& record : records) serial.ObserveMemory(record);
+  serial.ObserveMemoryBatch(records);
   for (const auto& record : het) serial.ObserveHet(record);
   const std::string want = RenderedReport(serial);
 
@@ -339,9 +330,8 @@ TEST_F(EngineContractTest, EngineSetShardedReductionRendersIdentically) {
       const std::size_t first = std::min(s * per, records.size());
       const std::size_t last = std::min(first + per, records.size());
       sets.emplace_back(EngineSetConfig{}, first);
-      for (std::size_t i = first; i < last; ++i) {
-        sets.back().ObserveMemory(records[i]);
-      }
+      sets.back().ObserveMemoryBatch(
+          std::span(records).subspan(first, last - first));
     }
     for (std::size_t s = 1; s < sets.size(); ++s) {
       ASSERT_TRUE(sets.front().MergeFrom(sets[s])) << shards << " shards";
@@ -378,24 +368,19 @@ TEST_F(EngineContractTest, MidStreamResumeHoldsUnderEveryCorruptionMode) {
     ASSERT_EQ(ingest.status, DatasetStatus::kOk);
 
     AnalysisEngineSet serial;
-    for (const auto& record : ingest.memory_errors) {
-      serial.ObserveMemory(record);
-    }
+    serial.ObserveMemoryBatch(ingest.memory_errors);
     for (const auto& record : ingest.het_events) serial.ObserveHet(record);
 
     // Checkpoint halfway, resume into a fresh set, feed the remainder.
-    const std::size_t cut = ingest.memory_errors.size() / 2;
+    const std::span<const logs::MemoryErrorRecord> records = ingest.memory_errors;
+    const std::size_t cut = records.size() / 2;
     AnalysisEngineSet first_half;
-    for (std::size_t i = 0; i < cut; ++i) {
-      first_half.ObserveMemory(ingest.memory_errors[i]);
-    }
+    first_half.ObserveMemoryBatch(records.first(cut));
     const std::string saved = SnapshotBytes(first_half);
     AnalysisEngineSet resumed;
     binio::Reader reader{std::string_view(saved)};
     ASSERT_TRUE(resumed.Restore(reader));
-    for (std::size_t i = cut; i < ingest.memory_errors.size(); ++i) {
-      resumed.ObserveMemory(ingest.memory_errors[i]);
-    }
+    resumed.ObserveMemoryBatch(records.subspan(cut));
     for (const auto& record : ingest.het_events) resumed.ObserveHet(record);
 
     EXPECT_EQ(SnapshotBytes(resumed), SnapshotBytes(serial));

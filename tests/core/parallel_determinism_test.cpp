@@ -1,17 +1,16 @@
 // Thread-count invariance of the parallel pipeline at the dataset level:
-// ingest accounting, coalesced faults, positional tallies and the monthly
-// series must be identical at --threads=1 and --threads=8, on clean data and
-// on injector-damaged data alike.  These tests deliberately use a record set
-// large enough to clear every parallel gate (>= 2^15 records, > 64 KiB).
+// ingest accounting, and the coalesced faults, positional tallies and
+// monthly series of BuildAnalysisArtifacts, must be identical at
+// --threads=1 and --threads=8, on clean data and on injector-damaged data
+// alike.  These tests deliberately use a record set large enough to clear
+// every parallel gate (>= 2^15 records, > 64 KiB).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 
-#include "core/coalesce.hpp"
 #include "core/dataset.hpp"
-#include "core/positional.hpp"
-#include "core/temporal.hpp"
+#include "core/engine.hpp"
 #include "faultsim/fleet.hpp"
 #include "logs/corruption.hpp"
 #include "logs/log_file.hpp"
@@ -160,30 +159,28 @@ void ExpectCoalesceEqual(const CoalesceResult& a, const CoalesceResult& b) {
   }
 }
 
-CoalesceOptions MonthTrackingOptions() {
+// The engine-set driver at 1 and 8 threads over the same records: the
+// 8-shard run reduces the coalescer, positional and temporal engines via
+// MergeFrom, so each fragment must match the serial pass field by field.
+AnalysisArtifacts ArtifactsAt(unsigned threads) {
   const auto& records = BigRecordSet();
-  CoalesceOptions options;
-  options.series_origin = records.front().timestamp;
-  options.month_count =
-      CalendarMonthIndex(options.series_origin, records.back().timestamp) + 1;
-  return options;
+  const TimeWindow window{records.front().timestamp,
+                          records.back().timestamp.AddSeconds(1)};
+  const auto& het = SmallCampaign().het_records;
+  return BuildAnalysisArtifacts(records, het, 64, window, window.begin, nullptr,
+                                threads);
 }
 
 TEST(ParallelAnalysisTest, CoalesceIsThreadInvariant) {
-  const auto& records = BigRecordSet();
-  const auto options = MonthTrackingOptions();
-  const auto serial = FaultCoalescer::Coalesce(records, options, nullptr, 1);
-  const auto parallel = FaultCoalescer::Coalesce(records, options, nullptr, 8);
-  EXPECT_FALSE(serial.faults.empty());
-  ExpectCoalesceEqual(serial, parallel);
+  const auto serial = ArtifactsAt(1);
+  const auto parallel = ArtifactsAt(8);
+  EXPECT_FALSE(serial.faults.faults.empty());
+  ExpectCoalesceEqual(serial.faults, parallel.faults);
 }
 
 TEST(ParallelAnalysisTest, PositionalTalliesAreThreadInvariant) {
-  const auto& records = BigRecordSet();
-  const auto coalesced =
-      FaultCoalescer::Coalesce(records, MonthTrackingOptions(), nullptr, 1);
-  const auto serial = AnalyzePositions(records, coalesced, 64, nullptr, 1);
-  const auto parallel = AnalyzePositions(records, coalesced, 64, nullptr, 8);
+  const auto serial = ArtifactsAt(1).positions;
+  const auto parallel = ArtifactsAt(8).positions;
   EXPECT_EQ(serial.errors.Total(), parallel.errors.Total());
   EXPECT_EQ(serial.errors.per_socket, parallel.errors.per_socket);
   EXPECT_EQ(serial.errors.per_bank, parallel.errors.per_bank);
@@ -200,13 +197,8 @@ TEST(ParallelAnalysisTest, PositionalTalliesAreThreadInvariant) {
 }
 
 TEST(ParallelAnalysisTest, MonthlySeriesIsThreadInvariant) {
-  const auto& records = BigRecordSet();
-  const auto options = MonthTrackingOptions();
-  const auto coalesced = FaultCoalescer::Coalesce(records, options, nullptr, 1);
-  const auto serial = BuildMonthlySeries(records, coalesced, options.series_origin,
-                                         options.month_count, 1);
-  const auto parallel = BuildMonthlySeries(records, coalesced, options.series_origin,
-                                           options.month_count, 8);
+  const auto serial = ArtifactsAt(1).series;
+  const auto parallel = ArtifactsAt(8).series;
   EXPECT_EQ(serial.all_errors, parallel.all_errors);
   for (std::size_t m = 0; m < serial.by_mode.size(); ++m) {
     EXPECT_EQ(serial.by_mode[m], parallel.by_mode[m]) << "mode " << m;
